@@ -21,11 +21,14 @@
 # committed records, failing on >25% ns/op or allocs/op regressions
 # (cmd/benchdiff; the SNN gate passes -allow-missing because
 # BENCH_snn.json also records the root package's BenchmarkSimulate).
+# `make perfbench-test` runs the repository benchmark's self-tests
+# (perfbench/, a module of its own), which check every runner.Eval result
+# field by field against a direct replay of the same stages.
 
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test vet race pfdebug chaos fuzz-short serve-harness sweep-harness bench bench-micro bench-check verify
+.PHONY: build test vet race pfdebug chaos fuzz-short serve-harness sweep-harness perfbench-test bench bench-micro bench-check verify
 
 build:
 	$(GO) build ./...
@@ -74,6 +77,11 @@ serve-harness:
 # single-process sweep, all with the race detector on.
 sweep-harness:
 	$(GO) test -race -count=1 -run 'TestSweepHarness' ./internal/dist/
+
+# The benchmark's output checks: each workload's results against a direct
+# stage-by-stage replay, on tiny inputs (about 10 s).
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -440,6 +440,13 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 	cc := &coordConn{name: hello.Worker, conn: conn, mw: &msgWriter{w: conn, inj: c.cfg.Fault}}
 	c.mu.Lock()
+	if c.ctx.Err() != nil {
+		// shutdown already closed every registered connection; one that
+		// finished its hello after that would block on a read forever and
+		// wedge shutdown's join.
+		c.mu.Unlock()
+		return
+	}
 	c.conns[cc] = struct{}{}
 	c.mu.Unlock()
 	m := distTele.Load()

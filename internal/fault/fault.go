@@ -30,9 +30,11 @@ const (
 	// SiteJobStart fires once per evaluation attempt, before any work.
 	// Panics and transient "flaky" failures are injected here.
 	SiteJobStart Site = iota
-	// SiteTraceDecode fires inside the shared trace build (generation or
-	// file decode). Its key is the trace cache key, so a faulted trace
-	// fails every cell that needs it, deterministically.
+	// SiteTraceDecode fires where a job's trace is acquired. For traces
+	// the runner generates by name it fires inside the shared build,
+	// keyed by the trace cache key, so a faulted trace fails every cell
+	// that needs it, deterministically; for Source jobs it fires once per
+	// attempt, keyed by the cell key. Accs jobs acquire nothing.
 	SiteTraceDecode
 	// SiteBaseline fires before the no-prefetch baseline simulation.
 	SiteBaseline

@@ -137,30 +137,35 @@ func (c Config) WithJournal(j *Journal) Config {
 // prefetch-file generator, or a precomputed file.
 type Job struct {
 	// Trace names a workload (generated with the effective Loads/Seed and
-	// cached across jobs). Optional when Accs or Source is set, but still
-	// used as the result label and the baseline-cache key.
+	// cached across jobs, its baseline keyed by name/loads/seed). Optional
+	// when Accs or Source is set; it is then only the result label and
+	// plays no part in the baseline cache.
 	Trace string
-	// Accs, if non-nil, is the trace to replay (bypasses generation).
+	// Accs, if non-nil, is the trace to replay (bypasses generation). Its
+	// baseline is cached under a content digest of the records
+	// (trace.HashSource, in SourceKey's "pft:<hash>:<n>" form), so jobs
+	// share a baseline exactly when their records match.
 	Accs []trace.Access
 	// Source, if non-nil, supplies the job's trace as a stream instead of
 	// a slice — the constant-memory path for traces too large to
 	// materialize. It is a factory, not a stream: the evaluation replays
-	// the trace up to three times (baseline, offline generation, timed
+	// the trace up to three times (baseline, prefetch generation, timed
 	// run), calling Source once per replay, so every call must return a
 	// fresh Source positioned at the first record with identical records.
-	// Source supersedes Accs and Trace-generation; Trace remains the
-	// result label. When the stream's length is unknown (no Remaining),
-	// the default 10%-of-trace warmup is resolved from a length the
-	// runner memoized for this SourceKey during an earlier full replay;
-	// with no memo either, the job fails loudly unless Job.Warmup or
-	// Sim.Warmup pins warmup explicitly (negative Job.Warmup disables
-	// it). Warmup never silently resolves to zero on the stream path.
+	// Source takes precedence over Accs and Trace-generation; Trace remains
+	// the result label. When the stream's length is unknown (no
+	// Remaining), the default 10%-of-trace warmup is resolved from a
+	// length the runner memoized for this SourceKey during an earlier full
+	// replay; with no memo either, the job fails loudly unless Job.Warmup
+	// or Sim.Warmup pins warmup explicitly (negative Job.Warmup disables
+	// it). Warmup never silently resolves to zero.
 	Source func(ctx context.Context) (trace.Source, error)
 	// SourceKey is the cache identity of Source's records — a content
-	// digest (trace.HashSource), a file digest, or a generator spec
-	// string. It extends the journal cell key and keys the shared
-	// no-prefetch baseline cache; when empty the baseline is recomputed
-	// per cell and the journal key stays purely positional.
+	// digest (trace.HashSource, conventionally "pft:<hash>:<n>"), a file
+	// digest, or a generator spec string. It extends the journal cell key
+	// and keys the shared no-prefetch baseline cache, in the same key
+	// space as Accs digests; when empty the baseline is recomputed per
+	// cell and the journal key stays purely positional.
 	SourceKey string
 	// Label overrides the result's Prefetcher name.
 	Label string
@@ -205,10 +210,11 @@ type Runner struct {
 	traces    flight[[]trace.Access]
 	baselines flight[baselineInfo]
 
-	// srcLens memoizes SourceKey → record count for streams that cannot
-	// report their own length, learned from a completed full replay. It
-	// is what lets an unknown-length stream resolve the same 10% warmup
-	// default as the slice path instead of silently warming up nothing.
+	// srcLens memoizes a trace's cache key → record count for streams
+	// that cannot report their own length, learned from a length-known
+	// replay under the same key or a completed full replay. It is what
+	// lets an unknown-length stream resolve the same 10% warmup default
+	// as a slice instead of silently warming up nothing.
 	srcLens sync.Map
 
 	baselineSims atomic.Int64
@@ -358,49 +364,23 @@ func (r *Runner) run(ctx context.Context, jobs []Job, failFast bool) ([]Result, 
 		go func() {
 			defer wg.Done()
 			for i := range idxc {
-				job := jobs[i]
-				key := r.cellKey(i, job)
-				if r.cfg.Journal != nil {
-					if res, ok := r.cfg.Journal.Lookup(key); ok {
-						results[i] = res
-						finish(Progress{
-							Trace: res.Trace, Prefetcher: res.Prefetcher,
-							Wall: res.Wall, Cycles: res.Cycles, Resumed: true,
-						}, 0, nil)
-						continue
-					}
+				res, resumed, retries, err := r.evalCell(ctx, i, jobs[i])
+				jobErr, cellFailed := err.(*JobError)
+				if err != nil && (failFast || !cellFailed) {
+					fail(err)
+					return
 				}
-				res, attempts, err := r.runCell(ctx, i, job, key)
-				if err != nil {
-					if ctx.Err() != nil {
-						// The run was cancelled out from under the cell;
-						// that is not the cell's failure.
-						fail(ctx.Err())
-						return
-					}
-					jobErr := newJobError(i, job, attempts, err)
-					if failFast {
-						fail(jobErr)
-						return
-					}
+				if cellFailed {
 					finish(Progress{
-						Trace: job.Trace, Prefetcher: job.Label, Err: jobErr,
-					}, attempts-1, jobErr)
+						Trace: jobs[i].Trace, Prefetcher: jobs[i].Label, Err: jobErr,
+					}, retries, jobErr)
 					continue
-				}
-				if r.cfg.Journal != nil {
-					if jerr := r.cfg.Journal.Record(key, res); jerr != nil {
-						// Losing checkpoints is a whole-run failure: a
-						// resume would silently repeat finished work.
-						fail(jerr)
-						return
-					}
 				}
 				results[i] = res
 				finish(Progress{
 					Trace: res.Trace, Prefetcher: res.Prefetcher,
-					Wall: res.Wall, Cycles: res.Cycles,
-				}, attempts-1, nil)
+					Wall: res.Wall, Cycles: res.Cycles, Resumed: resumed,
+				}, retries, nil)
 			}
 		}()
 	}
@@ -431,6 +411,35 @@ feed:
 		return nil, report, err
 	}
 	return results, report, nil
+}
+
+// evalCell is the per-cell sequence shared by the grid workers and
+// EvalCell: a journaled cell resumes without running; otherwise runCell
+// evaluates it and the journal records the result. retries is the attempts
+// spent beyond the first. The error is the parent context's when the run
+// was cancelled out from under the cell, a *JobError when the cell itself
+// failed, and otherwise a journal write error — a whole-run failure, since
+// a resume would silently repeat finished work.
+func (r *Runner) evalCell(ctx context.Context, i int, job Job) (res Result, resumed bool, retries int, err error) {
+	key := r.cellKey(i, job)
+	if r.cfg.Journal != nil {
+		if res, ok := r.cfg.Journal.Lookup(key); ok {
+			return res, true, 0, nil
+		}
+	}
+	res, attempts, err := r.runCell(ctx, i, job, key)
+	if err != nil {
+		if ctx.Err() != nil {
+			return Result{}, false, 0, ctx.Err()
+		}
+		return Result{}, false, attempts - 1, newJobError(i, job, attempts, err)
+	}
+	if r.cfg.Journal != nil {
+		if err := r.cfg.Journal.Record(key, res); err != nil {
+			return Result{}, false, 0, err
+		}
+	}
+	return res, false, attempts - 1, nil
 }
 
 // runCell evaluates one cell with the retry policy: up to MaxAttempts
@@ -539,36 +548,18 @@ func (r *Runner) Eval(ctx context.Context, job Job) (Result, error) {
 // through this entry point so a cell behaves identically to the same cell
 // of a single-process grid run.
 func (r *Runner) EvalCell(ctx context.Context, index int, job Job) (Result, error) {
-	key := r.cellKey(index, job)
-	progress := func(res Result, resumed bool) {
-		observeTerminal(int64(res.Wall), 0, false, resumed)
-		if r.cfg.Progress != nil {
-			r.cfg.Progress(Progress{
-				Done: 1, Total: 1,
-				Trace: res.Trace, Prefetcher: res.Prefetcher,
-				Wall: res.Wall, Cycles: res.Cycles, Resumed: resumed,
-			})
-		}
-	}
-	if r.cfg.Journal != nil {
-		if res, ok := r.cfg.Journal.Lookup(key); ok {
-			progress(res, true)
-			return res, nil
-		}
-	}
-	res, attempts, err := r.runCell(ctx, index, job, key)
+	res, resumed, _, err := r.evalCell(ctx, index, job)
 	if err != nil {
-		if ctx.Err() != nil {
-			return Result{}, ctx.Err()
-		}
-		return Result{}, newJobError(index, job, attempts, err)
+		return Result{}, err
 	}
-	if r.cfg.Journal != nil {
-		if jerr := r.cfg.Journal.Record(key, res); jerr != nil {
-			return Result{}, jerr
-		}
+	observeTerminal(int64(res.Wall), 0, false, resumed)
+	if r.cfg.Progress != nil {
+		r.cfg.Progress(Progress{
+			Done: 1, Total: 1,
+			Trace: res.Trace, Prefetcher: res.Prefetcher,
+			Wall: res.Wall, Cycles: res.Cycles, Resumed: resumed,
+		})
 	}
-	progress(res, false)
 	return res, nil
 }
 
@@ -616,89 +607,71 @@ func resolveWarmup(jobWarmup, simWarmup, n int) int {
 	return n / 10
 }
 
-// eval runs one job end to end: trace, baseline, prefetch file, timed
-// replay.
-func (r *Runner) eval(ctx context.Context, job Job, c cell) (Result, error) {
-	if job.Source != nil {
-		return r.evalStream(ctx, job, c)
-	}
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if err := r.inject(ctx, fault.SiteJobStart, c.key, c.attempt); err != nil {
-		return Result{}, err
-	}
-	loads, seed, cfg := r.effective(job)
+// jobTrace is a job's trace resolved once per attempt: every stage opens
+// its own fresh stream of the records, whatever form the job gave them in.
+type jobTrace struct {
+	// open returns a fresh Source positioned at the first record.
+	open func(ctx context.Context) (trace.Source, error)
+	// accs is the materialized trace when one exists (Accs jobs and traces
+	// the runner generated by name), handed to GenFile without a copy.
+	accs []trace.Access
+	// key is the records' cache identity for the baseline cache and the
+	// stream-length memo; empty when the records have none.
+	key string
+}
 
-	accs := job.Accs
-	if accs == nil {
-		if job.Trace == "" {
-			return Result{}, fmt.Errorf("job has neither a trace name nor accesses")
+// resolveTrace turns a job's trace into a jobTrace. Source takes
+// precedence over Accs, and Accs over generation by name. Generated traces
+// are keyed by name/loads/seed and built once per Runner through the
+// traces flight; Source jobs are keyed by their SourceKey; Accs jobs by a
+// content digest in SourceKey's "pft:<hash>:<n>" form, so two jobs share a
+// baseline exactly when their records match, whatever their labels. The
+// digest is skipped when the baseline is not cached anyway.
+func (r *Runner) resolveTrace(ctx context.Context, job Job, c cell) (jobTrace, error) {
+	var tr jobTrace
+	switch {
+	case job.Source != nil:
+		if err := r.inject(ctx, fault.SiteTraceDecode, c.key, c.attempt); err != nil {
+			return tr, err
 		}
+		tr.open = job.Source
+		if job.SourceKey != "" {
+			tr.key = "src\x00" + job.SourceKey
+		}
+		return tr, nil
+	case job.Accs != nil:
+		tr.accs = job.Accs
+		if job.Sim == nil && job.Baseline == nil {
+			h, n, _ := trace.HashSource(trace.NewSliceSource(job.Accs))
+			tr.key = fmt.Sprintf("src\x00pft:%016x:%d", h, n)
+		}
+	case job.Trace == "":
+		return tr, fmt.Errorf("job has neither a trace name nor accesses")
+	default:
+		loads, seed, _ := r.effective(job)
 		key := fmt.Sprintf("%s\x00%d\x00%d", job.Trace, loads, seed)
-		var err error
-		accs, err = r.traces.Do(ctx, key, func() ([]trace.Access, error) {
+		accs, err := r.traces.Do(ctx, key, func() ([]trace.Access, error) {
 			if err := r.inject(ctx, fault.SiteTraceDecode, key, c.attempt); err != nil {
 				return nil, err
 			}
 			return workload.GenerateCtx(ctx, job.Trace, loads, seed)
 		})
 		if err != nil {
-			return Result{}, err
+			return tr, err
 		}
+		tr.accs, tr.key = accs, key
 	}
-	if len(accs) == 0 {
-		return Result{}, fmt.Errorf("empty trace")
-	}
-	cfg.Warmup = resolveWarmup(job.Warmup, cfg.Warmup, len(accs))
-
-	var base baselineInfo
-	if job.Baseline != nil {
-		base.misses = *job.Baseline
-	} else {
-		var err error
-		base, err = r.baseline(ctx, job, cfg, accs, c)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	pfs, label, err := r.prefetchFile(ctx, job, accs, c)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := r.inject(ctx, fault.SiteSimulate, c.key, c.attempt); err != nil {
-		return Result{}, err
-	}
-	eng, release := acquireEngine(cfg)
-	defer release()
-	res, err := eng.RunCtx(ctx, accs, pfs)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Metrics: Metrics{
-			Prefetcher:     label,
-			Trace:          job.Trace,
-			IPC:            res.IPC,
-			Accuracy:       res.Accuracy(),
-			Coverage:       res.Coverage(base.misses),
-			Issued:         res.PrefIssued,
-			Useful:         res.PrefUseful,
-			BaselineMisses: base.misses,
-		},
-		BaselineIPC: base.ipc,
-		Cycles:      res.Cycles,
-		Wall:        time.Since(start),
-	}, nil
+	accs := tr.accs
+	tr.open = func(context.Context) (trace.Source, error) { return trace.NewSliceSource(accs), nil }
+	return tr, nil
 }
 
-// evalStream is eval for Source jobs: the trace is never materialized —
-// each stage (baseline, generation, timed replay) streams its own fresh
-// resolution of the job's Source through the simulator's bounded replay
-// window, so the cell's heap usage is independent of trace length.
-func (r *Runner) evalStream(ctx context.Context, job Job, c cell) (Result, error) {
+// eval runs one job end to end: trace, baseline, prefetch file, timed
+// replay. Each stage streams its own fresh resolution of the trace through
+// the simulator's bounded replay window, so a Source job's heap usage is
+// independent of trace length and a slice job replays exactly the records
+// it holds.
+func (r *Runner) eval(ctx context.Context, job Job, c cell) (Result, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -707,18 +680,22 @@ func (r *Runner) evalStream(ctx context.Context, job Job, c cell) (Result, error
 		return Result{}, err
 	}
 	_, _, cfg := r.effective(job)
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	tr, err := r.resolveTrace(ctx, job, c)
+	if err != nil {
+		return Result{}, err
+	}
 
 	// First resolution: probe the length (when the source knows it) for
 	// the warmup default, then feed the baseline replay. When the source
 	// cannot report a length, fall back to a length memoized from an
-	// earlier full replay under the same SourceKey; with neither, a
-	// defaulted warmup would silently resolve to zero — diverging from
-	// the slice path's 10% convention — so that case is a loud error
-	// unless the job (or sim config) pins warmup explicitly.
-	if err := r.inject(ctx, fault.SiteTraceDecode, c.key, c.attempt); err != nil {
-		return Result{}, err
-	}
-	src, err := job.Source(ctx)
+	// earlier full replay under the same key; with neither, a defaulted
+	// warmup would silently resolve to zero — diverging from the 10%
+	// convention — so that case is a loud error unless the job (or sim
+	// config) pins warmup explicitly.
+	src, err := tr.open(ctx)
 	if err != nil {
 		return Result{}, err
 	}
@@ -729,13 +706,13 @@ func (r *Runner) evalStream(ctx context.Context, job Job, c cell) (Result, error
 				return Result{}, fmt.Errorf("empty trace")
 			}
 			n, lenKnown = int(rem), true
-			if job.SourceKey != "" {
-				r.srcLens.Store(job.SourceKey, n)
+			if tr.key != "" {
+				r.srcLens.Store(tr.key, n)
 			}
 		}
 	}
-	if !lenKnown && job.SourceKey != "" {
-		if v, ok := r.srcLens.Load(job.SourceKey); ok {
+	if !lenKnown && tr.key != "" {
+		if v, ok := r.srcLens.Load(tr.key); ok {
 			n, lenKnown = v.(int), true
 		}
 	}
@@ -748,40 +725,40 @@ func (r *Runner) evalStream(ctx context.Context, job Job, c cell) (Result, error
 	if job.Baseline != nil {
 		base.misses = *job.Baseline
 	} else {
-		base, err = r.baselineStream(ctx, job, cfg, src, c)
+		base, err = r.baseline(ctx, job, tr.key, cfg, src, c)
 		if err != nil {
 			return Result{}, err
 		}
 	}
 
-	pfs, label, err := r.prefetchFileStream(ctx, job, c)
+	pfs, label, err := r.prefetchFile(ctx, job, tr, c)
 	if err != nil {
 		return Result{}, err
 	}
 	if err := r.inject(ctx, fault.SiteSimulate, c.key, c.attempt); err != nil {
 		return Result{}, err
 	}
-	timed, err := job.Source(ctx)
+	timed, err := tr.open(ctx)
 	if err != nil {
 		return Result{}, err
 	}
 	// When the length had to come from neither the source nor the memo,
 	// learn it here: the timed replay consumes the stream to EOF, so its
-	// record count is the trace length, and the next job under this
-	// SourceKey resolves the standard warmup default.
+	// record count is the trace length, and the next job under this key
+	// resolves the standard warmup default.
 	var counter *countingSource
-	if !lenKnown && job.SourceKey != "" {
+	if !lenKnown && tr.key != "" {
 		counter = &countingSource{src: timed}
 		timed = counter
 	}
-	eng, release := acquireEngine(cfg)
+	eng, release := sim.AcquireEngine(cfg)
 	defer release()
 	res, err := eng.RunStreamCtx(ctx, timed, pfs)
 	if err != nil {
 		return Result{}, err
 	}
 	if counter != nil {
-		r.srcLens.Store(job.SourceKey, counter.n)
+		r.srcLens.Store(tr.key, counter.n)
 	}
 	return Result{
 		Metrics: Metrics{
@@ -800,28 +777,22 @@ func (r *Runner) evalStream(ctx context.Context, job Job, c cell) (Result, error
 	}, nil
 }
 
-// baselineStream is baseline for Source jobs. src is the caller's already
-// resolved stream; the single-flight leader consumes it, and when the
-// cache already holds the entry (or another cell is computing it) the
-// unread stream is simply discarded. Caching requires a SourceKey — the
-// records have no other stable identity — and, as on the slice path, the
-// shared machine configuration.
-func (r *Runner) baselineStream(ctx context.Context, job Job, cfg sim.Config, src trace.Source, c cell) (baselineInfo, error) {
+// baseline returns the trace's no-prefetch simulation over src, the
+// attempt's first resolution of the trace. It goes through the
+// single-flight cache when the records have a cache key and the job runs
+// on the shared machine configuration; the leader consumes src, and when
+// the cache already holds the entry (or another cell is computing it) the
+// unread stream is simply discarded.
+func (r *Runner) baseline(ctx context.Context, job Job, key string, cfg sim.Config, src trace.Source, c cell) (baselineInfo, error) {
 	run := func() (baselineInfo, error) {
 		if err := r.inject(ctx, fault.SiteBaseline, c.key, c.attempt); err != nil {
 			return baselineInfo{}, err
-		}
-		if src == nil {
-			var err error
-			if src, err = job.Source(ctx); err != nil {
-				return baselineInfo{}, err
-			}
 		}
 		r.baselineSims.Add(1)
 		if m := runnerTele.Load(); m != nil {
 			m.baselineSims.Inc()
 		}
-		eng, release := acquireEngine(cfg)
+		eng, release := sim.AcquireEngine(cfg)
 		defer release()
 		res, err := eng.RunStreamCtx(ctx, src, nil)
 		if err != nil {
@@ -829,18 +800,20 @@ func (r *Runner) baselineStream(ctx context.Context, job Job, cfg sim.Config, sr
 		}
 		return baselineInfo{ipc: res.IPC, misses: res.LLCLoadMisses}, nil
 	}
-	if job.Sim != nil || job.SourceKey == "" {
+	// A per-job machine override is not cacheable: the cache key could not
+	// distinguish it from the shared-machine runs.
+	if job.Sim != nil || key == "" {
 		return run()
 	}
-	key := fmt.Sprintf("src\x00%s\x00%d", job.SourceKey, cfg.Warmup)
-	return r.baselines.Do(ctx, key, run)
+	return r.baselines.Do(ctx, fmt.Sprintf("%s\x00%d", key, cfg.Warmup), run)
 }
 
-// prefetchFileStream produces a Source job's prefetch file and result
-// label. Online prefetchers advise over the stream directly; GenFile
-// generators take a slice by signature, so a GenFile job collects the
-// stream first — offline trainers need the materialized trace anyway.
-func (r *Runner) prefetchFileStream(ctx context.Context, job Job, c cell) ([]trace.Prefetch, string, error) {
+// prefetchFile produces the job's prefetch file and result label. Online
+// prefetchers advise over a fresh stream of the trace; GenFile generators
+// take a slice by signature, so they get the materialized trace, collected
+// from the stream only for Source jobs — offline trainers need the whole
+// trace anyway.
+func (r *Runner) prefetchFile(ctx context.Context, job Job, tr jobTrace, c cell) ([]trace.Prefetch, string, error) {
 	label := job.Label
 	switch {
 	case job.File != nil:
@@ -855,13 +828,15 @@ func (r *Runner) prefetchFileStream(ctx context.Context, job Job, c cell) ([]tra
 		if err := r.inject(ctx, fault.SitePrefetchGen, c.key, c.attempt); err != nil {
 			return nil, "", err
 		}
-		src, err := job.Source(ctx)
-		if err != nil {
-			return nil, "", err
-		}
-		accs, err := trace.Collect(src)
-		if err != nil {
-			return nil, "", err
+		accs := tr.accs
+		if accs == nil {
+			src, err := tr.open(ctx)
+			if err != nil {
+				return nil, "", err
+			}
+			if accs, err = trace.Collect(src); err != nil {
+				return nil, "", err
+			}
 		}
 		pfs, err := job.GenFile(ctx, accs)
 		return pfs, label, err
@@ -876,90 +851,11 @@ func (r *Runner) prefetchFileStream(ctx context.Context, job Job, c cell) ([]tra
 				return nil, "", err
 			}
 		}
-		budget := job.Budget
-		if budget <= 0 {
-			budget = prefetch.Budget
-		}
-		src, err := job.Source(ctx)
+		src, err := tr.open(ctx)
 		if err != nil {
 			return nil, "", err
 		}
-		pfs, err := prefetch.GenerateFileStreamCtx(ctx, p, src, budget)
-		if err != nil {
-			return nil, "", err
-		}
-		if label == "" {
-			label = p.Name()
-		}
-		return pfs, label, nil
-	}
-	return nil, "", fmt.Errorf("job has no prefetcher, generator, or file")
-}
-
-// baseline returns the trace's no-prefetch simulation, through the
-// single-flight cache when the job runs on the shared machine
-// configuration.
-func (r *Runner) baseline(ctx context.Context, job Job, cfg sim.Config, accs []trace.Access, c cell) (baselineInfo, error) {
-	run := func() (baselineInfo, error) {
-		if err := r.inject(ctx, fault.SiteBaseline, c.key, c.attempt); err != nil {
-			return baselineInfo{}, err
-		}
-		r.baselineSims.Add(1)
-		if m := runnerTele.Load(); m != nil {
-			m.baselineSims.Inc()
-		}
-		eng, release := acquireEngine(cfg)
-		defer release()
-		res, err := eng.RunCtx(ctx, accs, nil)
-		if err != nil {
-			return baselineInfo{}, fmt.Errorf("baseline simulation: %w", err)
-		}
-		return baselineInfo{ipc: res.IPC, misses: res.LLCLoadMisses}, nil
-	}
-	// A per-job machine override or an anonymous trace is not cacheable:
-	// the cache key could not distinguish it from the shared runs.
-	if job.Sim != nil || job.Trace == "" {
-		return run()
-	}
-	loads, seed, _ := r.effective(job)
-	key := fmt.Sprintf("%s\x00%d\x00%d\x00%d", job.Trace, loads, seed, cfg.Warmup)
-	return r.baselines.Do(ctx, key, run)
-}
-
-// prefetchFile produces the job's prefetch file and result label.
-func (r *Runner) prefetchFile(ctx context.Context, job Job, accs []trace.Access, c cell) ([]trace.Prefetch, string, error) {
-	label := job.Label
-	switch {
-	case job.File != nil:
-		if label == "" {
-			label = "file"
-		}
-		return job.File, label, nil
-	case job.GenFile != nil:
-		if label == "" {
-			return nil, "", fmt.Errorf("GenFile job needs a Label")
-		}
-		if err := r.inject(ctx, fault.SitePrefetchGen, c.key, c.attempt); err != nil {
-			return nil, "", err
-		}
-		pfs, err := job.GenFile(ctx, accs)
-		return pfs, label, err
-	case job.New != nil, job.Prefetcher != nil:
-		if err := r.inject(ctx, fault.SitePrefetchGen, c.key, c.attempt); err != nil {
-			return nil, "", err
-		}
-		p := job.Prefetcher
-		if job.New != nil {
-			var err error
-			if p, err = job.New(); err != nil {
-				return nil, "", err
-			}
-		}
-		budget := job.Budget
-		if budget <= 0 {
-			budget = prefetch.Budget
-		}
-		pfs, err := prefetch.GenerateFileCtx(ctx, p, accs, budget)
+		pfs, err := prefetch.GenerateFileStreamCtx(ctx, p, src, job.Budget)
 		if err != nil {
 			return nil, "", err
 		}

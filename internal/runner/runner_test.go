@@ -270,3 +270,54 @@ func TestFlightErrorEviction(t *testing.T) {
 		t.Errorf("builder calls = %d, want 2", calls)
 	}
 }
+
+// TestAccsBaselineKeyedByContent pins the baseline cache's identity for
+// Accs jobs: it is the records, not the Trace label. Two jobs on one
+// Runner with the same label and length but different records must each
+// get their own baseline — the values a fresh Runner computes — while jobs
+// carrying identical records (even in distinct slices) still share one
+// baseline simulation.
+func TestAccsBaselineKeyedByContent(t *testing.T) {
+	ctx := context.Background()
+	newPF := func() (prefetch.Prefetcher, error) { return &prefetch.NextLine{}, nil }
+	var traces [][]trace.Access
+	for _, name := range []string{"cc-5", "450-soplex-s0"} {
+		accs, err := workload.Generate(name, 5000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, accs)
+	}
+
+	shared := New(Config{})
+	for i, accs := range traces {
+		job := Job{Trace: "x", Accs: accs, New: newPF}
+		got, err := shared.Eval(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(Config{}).Eval(ctx, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.BaselineMisses != want.BaselineMisses || got.BaselineIPC != want.BaselineIPC || got.Coverage != want.Coverage {
+			t.Errorf("trace %d under a shared label: baseline misses %d, IPC %v, coverage %v; a fresh runner gives %d, %v, %v",
+				i, got.BaselineMisses, got.BaselineIPC, got.Coverage, want.BaselineMisses, want.BaselineIPC, want.Coverage)
+		}
+	}
+
+	var jobs []Job
+	for i := 0; i < 4; i++ {
+		jobs = append(jobs, Job{
+			Trace: "noisy", Label: fmt.Sprintf("NL-%d", i),
+			Accs: append([]trace.Access(nil), traces[0]...), New: newPF,
+		})
+	}
+	r := New(Config{Parallelism: 4})
+	if _, err := r.Run(ctx, jobs); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.BaselineSims(); n != 1 {
+		t.Fatalf("BaselineSims = %d for identical Accs, want 1", n)
+	}
+}

@@ -36,7 +36,7 @@ type Engine struct {
 
 // NewEngine returns an Engine for the given machine configuration. The
 // machine is built lazily on the first run, so an invalid configuration
-// surfaces as that run's error (or panic), exactly as with the package
+// surfaces as that run's Validate error, exactly as with the package
 // functions.
 func NewEngine(cfg Config) *Engine {
 	return &Engine{cfg: cfg}
@@ -79,8 +79,8 @@ func (e *Engine) RunStreamCtx(ctx context.Context, src trace.Source, pfs []trace
 // one-shot runs replay identically by construction.
 func (e *Engine) RunMultiStreamCtx(ctx context.Context, srcs []trace.Source, pfs [][]trace.Prefetch) ([]Result, error) {
 	cfg := e.cfg
-	if cfg.Width <= 0 || cfg.ROB <= 0 {
-		return nil, fmt.Errorf("sim: invalid core config (width %d, ROB %d)", cfg.Width, cfg.ROB)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("sim: no cores")

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
 	"pathfinder/internal/trace"
 )
@@ -35,6 +37,48 @@ type Config struct {
 	// LLCPolicy selects the LLC replacement policy (PolicyLRU default, or
 	// PolicySRRIP with prefetch-aware distant insertion).
 	LLCPolicy Policy
+}
+
+// The errors Config.Validate wraps, one per class of malformed machine;
+// match them with errors.Is.
+var (
+	ErrCacheSets = errors.New("sim: cache sets must be positive")
+	ErrCacheWays = errors.New("sim: cache ways must be positive and below 65535")
+	ErrLatency   = errors.New("sim: cache latencies must be positive")
+	ErrWidth     = errors.New("sim: core width and ROB must be positive")
+	ErrDRAM      = errors.New("sim: DRAM channels, ranks, banks, read queue and row size must be positive")
+)
+
+// Validate reports whether the configuration describes a machine the
+// simulator can build. Every run entry point calls it first, so a bad
+// configuration is an error wrapping one of the Err* sentinels rather
+// than a panic in a constructor.
+func (c Config) Validate() error {
+	for _, l := range [...]struct {
+		name            string
+		sets, ways, lat int
+	}{
+		{"L1", c.L1Sets, c.L1Ways, c.L1Lat},
+		{"L2", c.L2Sets, c.L2Ways, c.L2Lat},
+		{"LLC", c.LLCSets, c.LLCWays, c.LLCLat},
+	} {
+		switch {
+		case l.sets <= 0:
+			return fmt.Errorf("%w: %s has %d", ErrCacheSets, l.name, l.sets)
+		case l.ways <= 0 || l.ways >= int(noWay):
+			return fmt.Errorf("%w: %s has %d", ErrCacheWays, l.name, l.ways)
+		case l.lat <= 0:
+			return fmt.Errorf("%w: %s has %d", ErrLatency, l.name, l.lat)
+		}
+	}
+	if c.Width <= 0 || c.ROB <= 0 {
+		return fmt.Errorf("%w: width %d, ROB %d", ErrWidth, c.Width, c.ROB)
+	}
+	d := c.DRAM
+	if d.Channels <= 0 || d.Ranks <= 0 || d.Banks <= 0 || d.ReadQueue <= 0 || d.RowBlocks <= 0 {
+		return fmt.Errorf("%w: %+v", ErrDRAM, d)
+	}
+	return nil
 }
 
 // DefaultConfig returns the Table 3 machine with a 4-wide, 256-entry-ROB

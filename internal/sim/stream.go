@@ -127,6 +127,10 @@ func RunMultiStream(cfg Config, srcs []trace.Source, pfs [][]trace.Prefetch) ([]
 // Long-lived callers that want explicit ownership can hold an Engine (or a
 // pool of them) and call its methods directly.
 func RunMultiStreamCtx(ctx context.Context, cfg Config, srcs []trace.Source, pfs [][]trace.Prefetch) ([]Result, error) {
+	// Validate before acquiring: an invalid machine must not get a pool.
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	eng, release := AcquireEngine(cfg)
 	defer release()
 	return eng.RunMultiStreamCtx(ctx, srcs, pfs)

@@ -76,8 +76,11 @@ func Collect(src Source) ([]Access, error) {
 			accs = make([]Access, 0, n)
 		}
 	}
+	// One record buffer for the whole drain: declared in the loop, it
+	// escapes through the interface call and costs an allocation per
+	// record.
+	var a Access
 	for {
-		var a Access
 		if err := src.Next(&a); err != nil {
 			if err == io.EOF {
 				return accs, nil

@@ -538,3 +538,35 @@ func BenchmarkStreamEncode(b *testing.B) {
 		}
 	}
 }
+
+// TestCollectAllocsPerTrace pins Collect's allocations to the destination
+// slice and one record buffer: a pre-sized drain of a 10k-record source allocates a fixed
+// handful of times however long the trace, and Read — Collect over a
+// Reader — costs the same count for 100 records as for 10k.
+func TestCollectAllocsPerTrace(t *testing.T) {
+	accs := genAccesses(10_000, 5)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Collect(NewSliceSource(accs)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("Collect over a 10k-record SliceSource: %v allocs, want <= 3 (source, slice, record buffer)", allocs)
+	}
+
+	readAllocs := func(n int) float64 {
+		var buf bytes.Buffer
+		if err := Write(&buf, genAccesses(n, 6)); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Read(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := readAllocs(100), readAllocs(10_000); large != small {
+		t.Fatalf("Read allocs grow with the trace: %v for 100 records, %v for 10k", small, large)
+	}
+}

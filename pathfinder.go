@@ -120,6 +120,16 @@ const (
 	PolicySRRIP = sim.PolicySRRIP
 )
 
+// Errors a malformed SimConfig is rejected with by every Simulate* and
+// Eval entry point (see SimConfig.Validate); match them with errors.Is.
+var (
+	ErrSimCacheSets = sim.ErrCacheSets
+	ErrSimCacheWays = sim.ErrCacheWays
+	ErrSimLatency   = sim.ErrLatency
+	ErrSimWidth     = sim.ErrWidth
+	ErrSimDRAM      = sim.ErrDRAM
+)
+
 // DefaultConfig returns the paper's high-accuracy PATHFINDER configuration
 // (Figure 4): 50 neurons, 2 labels per neuron, delta range ±63, 32-tick
 // interval, degree 2.

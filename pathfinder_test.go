@@ -1,6 +1,8 @@
 package pathfinder
 
 import (
+	"context"
+	"errors"
 	"testing"
 )
 
@@ -220,5 +222,29 @@ func TestThrottleAndISBPublicAPI(t *testing.T) {
 		if m.IPC <= 0 {
 			t.Errorf("%s: IPC %v", p.Name(), m.IPC)
 		}
+	}
+}
+
+// TestSimulateRejectsBadConfig checks a malformed machine is an error the
+// caller can match, not a panic, on every public simulation entry point.
+func TestSimulateRejectsBadConfig(t *testing.T) {
+	accs, err := GenerateTrace("cc-5", 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ScaledSimConfig()
+	cfg.L2Ways = 0
+	if _, err := Simulate(cfg, accs, nil); !errors.Is(err, ErrSimCacheWays) {
+		t.Errorf("Simulate error = %v, want ErrSimCacheWays", err)
+	}
+	if _, err := SimulateStream(cfg, NewSliceTraceSource(accs), nil); !errors.Is(err, ErrSimCacheWays) {
+		t.Errorf("SimulateStream error = %v, want ErrSimCacheWays", err)
+	}
+	if _, err := SimulateMulti(cfg, [][]Access{accs, accs}, nil); !errors.Is(err, ErrSimCacheWays) {
+		t.Errorf("SimulateMulti error = %v, want ErrSimCacheWays", err)
+	}
+	_, err = Eval(context.Background(), EvalJob{Accs: accs, Sim: &cfg, Prefetcher: NewNextLine(0)})
+	if !errors.Is(err, ErrSimCacheWays) {
+		t.Errorf("Eval error = %v, want ErrSimCacheWays", err)
 	}
 }
